@@ -18,9 +18,12 @@ sensitivity sweeps, Monte-Carlo batches over many probability maps):
   tape is lazily code-generated into one Python function of straight-line
   arithmetic (a statement per live gate), so a pass costs bytecode only;
 * :meth:`EvaluationTape.evaluate_batch` — batched probability: ``B``
-  probability maps are evaluated in one sweep by running the generated
-  function over per-slot vectors (numpy rows when numpy is importable, a
-  pure-Python per-map loop otherwise).
+  probability maps are evaluated in one sweep.  A batch of at least
+  :data:`NUMPY_BATCH_MIN` members runs the generated function once over
+  per-slot numpy rows; a narrower one (or any batch without numpy) calls
+  it once per member on Python floats.  Both lanes perform the same
+  IEEE-754 operations in the same order, so the lane never changes a
+  float.
 
 Tapes are immutable; :func:`tape_for` memoizes them per circuit (weakly,
 keyed by the circuit's append-only fingerprint), so repeated evaluation
@@ -57,6 +60,16 @@ OP_OR = 5
 #: instead of code generation (compiling a function of millions of
 #: statements costs more than it saves on a handful of passes).
 CODEGEN_GATE_LIMIT = 500_000
+
+#: Batches narrower than this run the generated function once per member
+#: on Python floats instead of once over per-slot numpy rows: below it,
+#: building and sweeping the rows costs more than the per-member calls.
+#: Measured on the 21 compiled lineages of perfbench's ``wire_read``
+#: catalog (259–3,445 live gates; one pinned core of a 2-vCPU x86-64 VM,
+#: CPython 3.11, numpy 2.4): numpy rows first won at 24–40 members, at
+#: 24 on every tape above 2,000 gates.  The smallest break-even is used,
+#: so the per-member lane never runs where numpy rows already win.
+NUMPY_BATCH_MIN = 24
 
 #: Maximum operands folded into one generated expression; wider gates are
 #: accumulated over several statements to keep the AST shallow.
@@ -350,9 +363,11 @@ class EvaluationTape:
 
         Pass either ``probs`` (one mapping per batch member) or ``matrix``
         (one row of floats per *slot*, each of the batch length — the
-        transposed layout the backend consumes directly).  With numpy the
-        generated function runs once over per-slot vectors; without it
-        each batch member is one compiled-function call.
+        transposed layout the numpy lane consumes directly).  A batch of
+        at least :data:`NUMPY_BATCH_MIN` members runs the generated
+        function once over per-slot numpy rows; a narrower batch, or any
+        batch without numpy, makes one compiled-function call per member
+        on Python floats.  Both lanes give the same floats.
         """
         if (probs is None) == (matrix is None):
             raise ValueError("pass exactly one of probs= or matrix=")
@@ -390,9 +405,11 @@ class EvaluationTape:
         The microbatch entry of the serving layer
         (:meth:`repro.serving.shard.Shard._process`): each grouped
         request's probability map is resolved to a slot vector once,
-        and the whole group then shares a single sweep.  Equivalent to
-        :meth:`evaluate_batch` on the corresponding maps, float for
-        float.
+        and the whole group then shares a single sweep — over numpy rows
+        from :data:`NUMPY_BATCH_MIN` members on, one call per member on
+        Python floats below it (an unbatched request is a batch of one).
+        Equivalent to :meth:`evaluate_batch` on the corresponding maps,
+        float for float.
         """
         width = len(self.var_labels)
         for vector in vectors:
@@ -495,11 +512,13 @@ class EvaluationTape:
         self, rows: list[list[float]], batch_size: int
     ) -> list[float]:
         """Run the compiled function over per-slot rows (the shared
-        backend of :meth:`evaluate_batch` and :meth:`evaluate_vectors`)."""
+        backend of :meth:`evaluate_batch` and :meth:`evaluate_vectors`):
+        as numpy rows from :data:`NUMPY_BATCH_MIN` members on, else once
+        per member on Python floats."""
         if batch_size == 0:
             return []
         fn = self._compiled()
-        if _np is not None:
+        if _np is not None and batch_size >= NUMPY_BATCH_MIN:
             stacked = (
                 _np.array(rows, dtype=float)
                 if rows
@@ -513,7 +532,8 @@ class EvaluationTape:
 
     @staticmethod
     def _batch_fallback(fn, rows, batch_size):
-        """Pure-Python batch: one compiled pass per batch member."""
+        """The per-member lane: one compiled pass per batch member, on
+        Python floats."""
         return [
             float(fn([row[b] for row in rows])) for b in range(batch_size)
         ]

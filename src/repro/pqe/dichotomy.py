@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.boolean_function import BooleanFunction
 from repro.core.euler import monotone_euler_extremes
+from repro.pqe.extensional import EXTENSIONAL_PLAN_CACHE_LIMIT
 from repro.queries.hqueries import HQuery
 
 
@@ -120,9 +122,23 @@ def classify_query(query) -> Classification:
     :mod:`repro.pqe.lift` (complete for the UCQ fragment up to the
     search's resource caps, which reject conservatively — a capped
     rejection is reported as hard).  The Euler/degeneracy fields are
-    h-query notions and are zeroed for general UCQs."""
+    h-query notions and are zeroed for general UCQs.
+
+    The general-UCQ verdict is memoized by query value (see
+    :func:`_classify_ucq`), so the serving tier's per-request routing
+    never repeats the plan search for a query it has seen."""
     if isinstance(query, HQuery):
         return classify(query)
+    return _classify_ucq(query)
+
+
+@lru_cache(maxsize=EXTENSIONAL_PLAN_CACHE_LIMIT)
+def _classify_ucq(query) -> Classification:
+    """The non-h branch of :func:`classify_query`, memoized (LRU of
+    :data:`~repro.pqe.extensional.EXTENSIONAL_PLAN_CACHE_LIMIT` entries).
+    The verdict depends only on the query, and queries are frozen
+    dataclasses that hash by value, so a query decoded afresh for each
+    request still hits."""
     from repro.pqe.lift import is_liftable
 
     liftable = is_liftable(query)

@@ -44,8 +44,10 @@ alone, fan-out is invisible in the responses.
 Resilience: requests may carry a deadline and a priority.  Admission
 control bounds the queue and sheds the newest lowest-priority request
 when the queue (or the per-shard circuit breaker) cannot absorb more;
-deadlines are checked cooperatively at admission, at dequeue, between
-compilation and the sweep, and between sampling waves; an exact route
+deadlines are checked cooperatively at admission, at dequeue, after
+the intensional route's first step (between compilation and the sweep
+when cold, after the one-step sweep when warm), and between sampling
+waves; an exact route
 predicted (per-route latency EWMAs) to miss a request's deadline is
 downgraded to the sampling route under a deadline-derived budget
 (``degraded=True`` responses, nonzero ``half_width``).  A group whose
@@ -59,10 +61,11 @@ Backends: this class is the **policy front end** shared by both serving
 backends.  Everything above — queueing, microbatch fusion, admission,
 deadlines, degradation, retries, breaker, fault injection, stats — runs
 here, in the submitting process, for *both* backends; only the route
-*computations* are behind the four ``_execute_*`` hooks.  The thread
-backend (this class) runs them in-process on the shard's worker pool;
-the process backend (:class:`~repro.serving.worker.ProcessShard`)
-overrides them with RPCs to a dedicated worker process.  Identical
+*computations* are behind the ``_execute_*`` hooks and
+``_compile_or_sweep``.  The thread backend (this class) runs them
+in-process on the shard's worker pool; the process backend
+(:class:`~repro.serving.worker.ProcessShard`) overrides them with RPCs
+to a dedicated worker process.  Identical
 policy code plus content-determined compute is what makes the two
 backends bit-for-float identical and fault-replay equivalent.
 """
@@ -385,16 +388,14 @@ class Shard:
         return self.healthy() and self.queue_depth() < self.max_queue_depth
 
     def route_for(self, request: QueryRequest) -> str:
-        """The route label this request would take (mirrors
-        :meth:`_process`'s dispatch) — what the hedge-delay policy keys
-        its latency quantile on."""
-        classification = classify_query(request.query)
+        """The route label this request takes — the one dispatch
+        :meth:`_process` serves by and the hedge-delay policy keys its
+        latency quantile on.  Members of a microbatch share query and
+        instance content (hence size), so they share the route too."""
+        query = request.query
+        classification = classify_query(query)
         if classification.extensional_safe:
-            return (
-                "extensional"
-                if isinstance(request.query, HQuery)
-                else "lifted"
-            )
+            return "extensional" if isinstance(query, HQuery) else "lifted"
         if classification.h_query and classification.dd_ptime:
             return "intensional"
         if len(request.tid) <= self.brute_force_limit:
@@ -540,7 +541,8 @@ class Shard:
     def _drop_expired(self, group: list[_Pending]) -> list[_Pending]:
         """Split out members whose deadline already passed, resolving
         each with :class:`DeadlineExceeded`; returns the still-live
-        rest.  Run at dequeue and again after compilation — the two
+        rest.  Run at dequeue and again after the intensional route's
+        first step (a compile, or a warm probe-and-sweep) — the two
         points where meaningful time may have passed since admission."""
         ready = []
         for pending in group:
@@ -634,10 +636,10 @@ class Shard:
     # Route compute — the backend boundary
     # ------------------------------------------------------------------
     #
-    # Everything below `_process` is policy; the four `_execute_*` hooks
-    # (plus `_ensure_compiled`) are the only places a probability is
-    # actually computed.  The process backend overrides exactly these
-    # with RPCs into its worker process; the policy code above and in
+    # Everything below `_process` is policy; the `_execute_*` hooks (plus
+    # `_compile_or_sweep`) are the only places a probability is actually
+    # computed.  The process backend overrides exactly these with RPCs
+    # into its worker process; the policy code above and in
     # `_process` never notices which backend it is running on.
 
     @staticmethod
@@ -692,15 +694,20 @@ class Shard:
         )
         return [rep_probabilities[slot] for slot in positions], hit
 
-    def _ensure_compiled(self, query, head: _Pending):
-        """Compile (or probe) the group's circuit ahead of the
-        post-compilation deadline check.  Returns ``(token, hit,
-        compile_ms)``; the token is backend-opaque and handed back to
-        :meth:`_execute_intensional`."""
+    def _compile_or_sweep(self, query, group: list[_Pending]):
+        """The intensional route's first step: probe the group's circuit
+        and, on a cache hit, sweep it at once.  Returns
+        ``(probabilities, token, compile_ms)`` — the per-member floats on
+        a hit; on a miss ``None`` plus a backend-opaque token, which
+        :meth:`_execute_intensional` takes once the post-compilation
+        deadline check has run."""
+        head = group[0]
         compiled, hit = self.cache.get_or_compile(
             query, head.request.tid.instance, head.key[1]
         )
-        return compiled, hit, (0.0 if hit else compiled.compile_ms)
+        if not hit:
+            return None, compiled, compiled.compile_ms
+        return self._execute_intensional(query, group, compiled), None, 0.0
 
     def _execute_intensional(
         self, query, group: list[_Pending], token
@@ -750,7 +757,7 @@ class Shard:
         if not group:
             return
         query = group[0].request.query
-        classification = classify_query(query)
+        route = self.route_for(group[0].request)
         size = len(group)
         # Counters first: a client unblocked by its future may read
         # stats() immediately and must already see itself counted.  The
@@ -766,14 +773,6 @@ class Shard:
                 pending.counted = True
         if self._fault_injector is not None:
             self._inject(group)
-        if classification.extensional_safe:
-            route = (
-                "extensional" if isinstance(query, HQuery) else "lifted"
-            )
-        elif classification.h_query and classification.dd_ptime:
-            route = "intensional"
-        else:
-            route = None
         degraded = self._split_degraded(group, route)
         group = [pending for pending in group if pending not in degraded]
         if degraded:
@@ -820,19 +819,31 @@ class Shard:
                 )
         elif route == "intensional":
             started = time.perf_counter()
-            token, hit, compile_ms = self._ensure_compiled(
-                query, group[0]
+            probabilities, token, compile_ms = self._compile_or_sweep(
+                query, group
             )
+            hit = probabilities is not None
             if compile_ms:
                 with self._lock:
                     self._compile_ms += compile_ms
-            # Compilation is the expensive prefix of this route: members
-            # whose deadline ran out during it are resolved late now
-            # rather than swept for nobody.
-            group = self._drop_expired(group)
-            if not group:
+            # A warm group was swept in the same step as its cache probe;
+            # a cold one was only compiled, the expensive prefix of this
+            # route.  Either way, members whose deadline ran out
+            # meanwhile are resolved late now, and a cold group's
+            # survivors are swept only after that, never for nobody.
+            live = self._drop_expired(group)
+            if not live:
                 return
-            probabilities = self._execute_intensional(query, group, token)
+            if probabilities is None:
+                probabilities = self._execute_intensional(query, live, token)
+            elif len(live) < len(group):
+                kept = {id(pending) for pending in live}
+                probabilities = [
+                    probability
+                    for pending, probability in zip(group, probabilities)
+                    if id(pending) in kept
+                ]
+            group = live
             self._observe_route(
                 "intensional", (time.perf_counter() - started) * 1e3
             )
@@ -844,19 +855,9 @@ class Shard:
                     cache_hit=hit,
                     batch_size=size,
                 )
-        else:
-            brute = [
-                pending
-                for pending in group
-                if len(pending.request.tid) <= self.brute_force_limit
-            ]
-            sampled = [
-                pending
-                for pending in group
-                if len(pending.request.tid) > self.brute_force_limit
-            ]
+        elif route == "brute_force":
             enumerated: dict[int, float] = {}
-            for pending in brute:
+            for pending in group:
                 if (
                     pending.deadline is not None
                     and pending.deadline.expired()
@@ -881,11 +882,11 @@ class Shard:
                     "brute_force",
                     batch_size=size,
                 )
-            if sampled:
-                self._sample_group(query, sampled, batch_size=size)
+        else:
+            self._sample_group(query, group, batch_size=size)
 
     def _split_degraded(
-        self, group: list[_Pending], route: str | None
+        self, group: list[_Pending], route: str
     ) -> list[_Pending]:
         """The members to downgrade to the sampling route: deadline'd
         requests whose exact route's latency EWMA predicts a miss, when
@@ -893,18 +894,13 @@ class Shard:
         a deadline, routes with no observations yet, and requests
         already bound for sampling are never degraded — prediction from
         nothing would be guessing."""
-        if not self.degrade_to_sampling:
+        if not self.degrade_to_sampling or route == "sampling":
             return []
+        ewma = self._route_ewma[route]
         degraded = []
         for pending in group:
             if pending.deadline is None:
                 continue
-            exact_route = route
-            if exact_route is None:
-                if len(pending.request.tid) > self.brute_force_limit:
-                    continue  # already the sampling route
-                exact_route = "brute_force"
-            ewma = self._route_ewma[exact_route]
             remaining_ms = pending.deadline.remaining_ms()
             if ewma.samples == 0 or ewma.value() <= remaining_ms:
                 continue

@@ -2,7 +2,7 @@
 front end.
 
 :class:`ProcessShard` subclasses :class:`~repro.serving.shard.Shard` and
-overrides exactly the route-compute hooks (``_ensure_compiled`` and the
+overrides exactly the route-compute hooks (``_compile_or_sweep`` and the
 five ``_execute_*`` methods) with RPCs into a dedicated worker process.
 Everything else — microbatch fusion, admission control, deadlines,
 degradation, retries, circuit breaker, fault injection, stats counters —
@@ -288,28 +288,27 @@ def _serve_op(state: _WorkerState, op: str, payload: tuple):
     if op == "columns":
         state.register_columns(*payload)
         return None
-    if op == "compile":
-        encoded_query, shard_key = payload
+    if op == "intensional":
+        # A cached lineage is swept in this same round trip; a miss is
+        # compiled and, unless ``sweep_cold``, returned unswept so the
+        # parent can drop expired members before asking for the sweep.
+        encoded_query, keys, sweep_cold = payload
         query = decode_query(encoded_query)
-        instance = state.instances[shard_key]
+        instance = state.instances[keys[0][0]]
         compiled, hit = state.cache.get_or_compile(
             query, instance, instance.content_fingerprint()
         )
-        return (hit, 0.0 if hit else compiled.compile_ms)
-    if op == "intensional":
-        encoded_query, keys = payload
-        query = decode_query(encoded_query)
-        instance = state.instances[keys[0][0]]
-        compiled, _ = state.cache.get_or_compile(
-            query, instance, instance.content_fingerprint()
-        )
+        compile_ms = 0.0 if hit else compiled.compile_ms
+        if not (hit or sweep_cold):
+            return (None, compile_ms)
         tape = compiled.tape
-        return tape.evaluate_vectors(
+        probabilities = tape.evaluate_vectors(
             [
                 tape.probability_vector(state.tid(key).probability_map())
                 for key in keys
             ]
         )
+        return (probabilities, compile_ms)
     if op == "extensional":
         encoded_query, keys = payload
         query = decode_query(encoded_query)
@@ -816,12 +815,6 @@ class ProcessShard(Shard):
                 client.cast("instance", shard_key, relations, facts)
             return len(self._instance_payloads)
 
-    def _announce(self, instance: Instance) -> int:
-        shard_key = instance.shard_key()
-        with self._publish_lock:
-            self._announce_locked(instance, shard_key)
-        return shard_key
-
     # -- route compute hooks -------------------------------------------
 
     def _execute_extensional(self, query, group: list[_Pending]):
@@ -852,26 +845,36 @@ class ProcessShard(Shard):
                 self._registry.release(lease)
         return [rep_probabilities[slot] for slot in positions], hit
 
-    def _ensure_compiled(self, query, head: _Pending):
-        shard_key = self._announce(head.request.tid.instance)
-        hit, compile_ms = self._client.call(
-            "compile", encode_query(query), shard_key
+    def _compile_or_sweep(self, query, group: list[_Pending]):
+        probabilities, compile_ms = self._intensional_call(
+            query, group, sweep_cold=False
         )
-        return None, hit, compile_ms
+        return probabilities, None, compile_ms
 
     def _execute_intensional(self, query, group: list[_Pending], token):
+        probabilities, _ = self._intensional_call(
+            query, group, sweep_cold=True
+        )
+        return probabilities
+
+    def _intensional_call(self, query, group: list[_Pending], sweep_cold):
+        """One ``intensional`` round trip: the per-member floats (``None``
+        when the worker compiled without sweeping) and the compile time."""
         reps, positions = self._representatives(group)
         leases = [self._lease(pending.request.tid) for pending in reps]
         try:
-            rep_probabilities = self._client.call(
+            rep_probabilities, compile_ms = self._client.call(
                 "intensional",
                 encode_query(query),
                 [lease.key for lease in leases],
+                sweep_cold,
             )
         finally:
             for lease in leases:
                 self._registry.release(lease)
-        return [rep_probabilities[slot] for slot in positions]
+        if rep_probabilities is None:
+            return None, compile_ms
+        return [rep_probabilities[slot] for slot in positions], compile_ms
 
     def _execute_brute(self, query, tid) -> float:
         lease = self._lease(tid)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.circuits import evaluator
 from repro.circuits.circuit import Circuit, GateKind
 from repro.circuits.evaluator import EvaluationTape, tape_for
 from repro.circuits.probability import (
@@ -171,7 +172,7 @@ class TestTapeAgainstReference:
             ]
             batch = tape.evaluate_batch(maps)
             singles = [tape.evaluate_floats(m) for m in maps]
-            assert batch == pytest.approx(singles, abs=1e-12)
+            assert batch == singles
 
     def test_batch_fallback_matches_vectorized(self):
         rng = random.Random(23)
@@ -183,9 +184,7 @@ class TestTapeAgainstReference:
             for label in tape.var_labels
         ]
         fallback = tape._batch_fallback(tape._compiled(), rows, len(maps))
-        assert tape.evaluate_batch(maps) == pytest.approx(
-            fallback, abs=1e-12
-        )
+        assert tape.evaluate_batch(maps) == fallback
 
     def test_batch_rejects_conflicting_arguments(self):
         circuit = random_dd(random.Random(1), ["a", "b"])
@@ -207,6 +206,105 @@ class TestTapeAgainstReference:
         # The matrix layout has no way to carry a batch size here.
         with pytest.raises(ValueError, match="no variable slots"):
             tape.evaluate_batch(matrix=[])
+
+
+def _lane_results(monkeypatch, tape, maps):
+    """``evaluate_batch`` and ``evaluate_vectors`` of ``maps`` once on
+    each lane: per-member Python floats (break-even above any batch) and
+    numpy rows (break-even at one member)."""
+    vectors = [tape.probability_vector(m) for m in maps]
+    results = {}
+    for lane, threshold in (("floats", len(maps) + 1), ("numpy", 1)):
+        monkeypatch.setattr(evaluator, "NUMPY_BATCH_MIN", threshold)
+        results[lane] = (
+            tape.evaluate_batch(maps),
+            tape.evaluate_vectors(vectors),
+        )
+    return results
+
+
+class TestBatchLanes:
+    """The per-member float lane and the numpy-row lane of ``_sweep``
+    perform the same IEEE-754 operations in the same order, so they agree
+    float for float (``==``, not approx) at every batch size around the
+    break-even, and the default lane choice changes nothing."""
+
+    SIZES = (
+        1,
+        evaluator.NUMPY_BATCH_MIN - 1,
+        evaluator.NUMPY_BATCH_MIN,
+        2 * evaluator.NUMPY_BATCH_MIN,
+    )
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_lanes_bit_identical_on_random_dds(self, monkeypatch, size):
+        rng = random.Random(29 + size)
+        for _ in range(5):
+            circuit = random_dd(rng, ["a", "b", "c", "d", "e", "f"])
+            tape = tape_for(circuit)
+            maps = [
+                random_prob_map(rng, circuit, exact=False)
+                for _ in range(size)
+            ]
+            default = tape.evaluate_batch(maps)
+            lanes = _lane_results(monkeypatch, tape, maps)
+            assert lanes["floats"] == lanes["numpy"]
+            assert lanes["floats"][0] == default
+            assert default == [tape.evaluate_floats(m) for m in maps]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_lanes_bit_identical_on_a_compiled_lineage(
+        self, monkeypatch, size
+    ):
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        tape = compile_lineage(q9(), tid.instance).tape
+        rng = random.Random(31 + size)
+        maps = [
+            {label: rng.random() for label in tape.var_labels}
+            for _ in range(size)
+        ]
+        lanes = _lane_results(monkeypatch, tape, maps)
+        assert lanes["floats"] == lanes["numpy"]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_constant_output_tape(self, monkeypatch, size):
+        circuit = Circuit()
+        circuit.add_var("a")
+        circuit.set_output(circuit.add_const(False))
+        tape = tape_for(circuit)
+        maps = [{"a": 0.25}] * size
+        lanes = _lane_results(monkeypatch, tape, maps)
+        assert lanes["floats"] == lanes["numpy"] == ([0.0] * size,) * 2
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_zero_slot_tape(self, monkeypatch, size):
+        circuit = Circuit()
+        circuit.set_output(
+            circuit.add_not(circuit.add_const(False))
+        )
+        tape = tape_for(circuit)
+        assert tape.var_labels == ()
+        lanes = _lane_results(monkeypatch, tape, [{}] * size)
+        assert lanes["floats"] == lanes["numpy"] == ([1.0] * size,) * 2
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_interpreter_stand_in(self, monkeypatch, size):
+        # Beyond CODEGEN_GATE_LIMIT the float function is the tape
+        # interpreter; both lanes still run it and still agree.
+        monkeypatch.setattr(evaluator, "CODEGEN_GATE_LIMIT", 1)
+        rng = random.Random(37 + size)
+        circuit = random_dd(rng, ["a", "b", "c", "d", "e"])
+        tape = EvaluationTape.from_circuit(circuit)
+        maps = [
+            random_prob_map(rng, circuit, exact=False)
+            for _ in range(size)
+        ]
+        lanes = _lane_results(monkeypatch, tape, maps)
+        assert tape._float_fn.__name__ == "run"  # the stand-in, not codegen
+        assert lanes["floats"] == lanes["numpy"]
+        codegen = EvaluationTape.from_circuit(circuit)
+        monkeypatch.setattr(evaluator, "CODEGEN_GATE_LIMIT", 500_000)
+        assert lanes["floats"][0] == codegen.evaluate_batch(maps)
 
 
 class TestTapeCache:

@@ -20,9 +20,10 @@ from repro.core.boolean_function import BooleanFunction
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
 from repro.pqe.brute_force import probability_by_world_enumeration
-from repro.pqe.dichotomy import classify, classify_query
+from repro.pqe.dichotomy import _classify_ucq, classify, classify_query
 from repro.pqe.engine import HardQueryError, evaluate, evaluate_batch
 from repro.pqe.extensional import (
+    EXTENSIONAL_PLAN_CACHE_LIMIT,
     extensional_plan_stats,
     lattice_cache_counters,
     plan_ir,
@@ -108,6 +109,97 @@ class TestSafetyAgreement:
         assert not is_liftable(h1)
         with pytest.raises(UnsafeQueryError):
             lift_query(h1)
+
+
+class TestClassificationMemo:
+    """The non-h branch of ``classify_query`` is memoized by query value:
+    the serving tier classifies every request, and the plan search must
+    not rerun for a query it has already seen."""
+
+    @pytest.fixture
+    def lift_calls(self, monkeypatch):
+        import repro.pqe.lift as lift_module
+
+        calls = []
+        original = lift_module.lift_query
+
+        def counting(query):
+            calls.append(query)
+            return original(query)
+
+        monkeypatch.setattr(lift_module, "lift_query", counting)
+        _classify_ucq.cache_clear()
+        yield calls
+        _classify_ucq.cache_clear()
+
+    def test_equal_queries_share_one_plan_search(self, lift_calls):
+        from repro.serving.worker import decode_query, encode_query
+
+        def build():
+            return UnionOfCQs((
+                ConjunctiveQuery(
+                    (Atom("R", ("x",)), Atom("S", ("x", Constant(4))))
+                ),
+                ConjunctiveQuery((Atom("T", ("z",)),)),
+            ))
+
+        first, second = build(), decode_query(encode_query(build()))
+        assert first == second and first is not second
+        verdicts = {classify_query(first), classify_query(second)}
+        assert len(lift_calls) == 1
+        assert verdicts == {classify_query(first)}
+        assert verdicts.pop().lifted_safe
+
+    def test_unliftable_query_is_memoized_hard_and_still_routes(
+        self, lift_calls
+    ):
+        from repro.serving.api import QueryRequest
+        from repro.serving.shard import Shard
+
+        hard = UnionOfCQs((
+            ConjunctiveQuery((Atom("R", ("x",)), Atom("S", ("x", "y")))),
+            ConjunctiveQuery((Atom("S", ("x", "y")), Atom("T", ("y",)))),
+        ))
+        for _ in range(3):
+            verdict = classify_query(hard)
+            assert verdict.known_hard and not verdict.extensional_safe
+        assert len(lift_calls) == 1
+        tid = random_tid(random.Random(0x4A2D), {"R": 1, "S": 2, "T": 1})
+        assert evaluate(hard, tid).engine == "brute_force"
+        small = Shard(0, workers=1, brute_force_limit=len(tid))
+        large = Shard(1, workers=1, brute_force_limit=len(tid) - 1)
+        try:
+            assert small.route_for(QueryRequest(hard, tid)) == "brute_force"
+            assert large.route_for(QueryRequest(hard, tid)) == "sampling"
+            response = small.submit(QueryRequest(hard, tid)).result()
+            assert response.engine == "brute_force"
+            assert response.probability == float(
+                probability_by_world_enumeration(hard, tid)
+            )
+        finally:
+            small.close()
+            large.close()
+        assert len(lift_calls) == 1
+
+    def test_h_queries_never_touch_the_memo(self, lift_calls):
+        before = _classify_ucq.cache_info()
+        for table in (0b0110, 0b1110, 0b1000):
+            classify_query(HQuery(1, BooleanFunction(2, table)))
+        after = _classify_ucq.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize
+        )
+        assert lift_calls == []
+
+    def test_memo_stays_bounded(self, lift_calls):
+        limit = _classify_ucq.cache_info().maxsize
+        assert limit == EXTENSIONAL_PLAN_CACHE_LIMIT
+        for i in range(limit + 10):
+            classify_query(ConjunctiveQuery(
+                (Atom("R", ("x",)), Atom("S", ("x", Constant(i))))
+            ))
+        assert _classify_ucq.cache_info().currsize == limit
+        assert len(lift_calls) == limit + 10
 
 
 class TestHQueryParity:

@@ -21,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.boolean_function import BooleanFunction
+from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.db.generator import complete_tid
 from repro.pqe.engine import BRUTE_FORCE_LIMIT, evaluate_batch
 from repro.queries.hqueries import HQuery, q9
@@ -32,8 +33,11 @@ from repro.serving import (
     ServiceStopped,
     ShardedService,
 )
+from repro.serving.api import QueryRequest
 from repro.serving.resilience import RetryPolicy
+from repro.serving.shard import Shard
 from repro.serving.shm import SegmentRegistry, read_columns, segment_prefix
+from repro.serving.worker import _WorkerClient
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -505,3 +509,106 @@ class TestSpawnStartMethod:
         finally:
             shard.stop(wait=True)
         assert not shm_entries()
+
+
+class _FakeClock:
+    """A hand-driven monotonic clock for deadline tests."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def _make_shard(backend: str):
+    return (
+        ProcessShard(0, workers=1)
+        if backend == "processes"
+        else Shard(0, workers=1)
+    )
+
+
+class TestIntensionalRoundTrips:
+    """A warm intensional request costs one worker round trip (the
+    ``intensional`` op probes the compilation cache and sweeps a hit);
+    a cold one costs two, with the post-compilation deadline check
+    between them — the same policy the thread backend runs."""
+
+    def test_warm_request_makes_one_call_cold_makes_two(self, monkeypatch):
+        calls = []
+        original = _WorkerClient.call
+
+        def counting(self, op, *payload):
+            calls.append(op)
+            return original(self, op, *payload)
+
+        monkeypatch.setattr(_WorkerClient, "call", counting)
+        query = nonmonotone_dd_query()
+        tid = complete_tid(3, 3, 3, prob=Fraction(1, 2))
+        reference = evaluate_batch(query, [tid]).probabilities[0]
+        shard = ProcessShard(0, workers=1)
+        try:
+            cold = shard.submit(QueryRequest(query, tid)).result(timeout=120)
+            cold_calls, calls[:] = list(calls), []
+            warm = shard.submit(QueryRequest(query, tid)).result(timeout=120)
+            warm_calls = list(calls)
+        finally:
+            shard.stop(wait=True)
+        assert cold_calls == ["intensional", "intensional"]
+        assert warm_calls == ["intensional"]
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert cold.probability == warm.probability == reference
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_deadline_expiring_during_the_first_step(self, backend):
+        # The injected clock stalls every first step (cold compile or
+        # warm probe-and-sweep) past any deadline: a late cold member is
+        # compiled for the next request but swept for nobody, and a late
+        # warm member is dropped after its one-step sweep — the same
+        # typed outcome on both backends.
+        query = nonmonotone_dd_query()
+        tid = complete_tid(3, 3, 3, prob=Fraction(1, 2))
+        reference = evaluate_batch(query, [tid]).probabilities[0]
+        clock = _FakeClock()
+        shard = _make_shard(backend)
+        sweeps = []
+        first_step = shard._compile_or_sweep
+        sweep = shard._execute_intensional
+
+        def stalled(query, group):
+            result = first_step(query, group)
+            clock.advance(1.0)
+            return result
+
+        def counted_sweep(query, group, token):
+            sweeps.append(len(group))
+            return sweep(query, group, token)
+
+        shard._compile_or_sweep = stalled
+        shard._execute_intensional = counted_sweep
+
+        def late():
+            return shard.submit(
+                QueryRequest(query, tid),
+                deadline=Deadline(100.0, clock=clock),
+            ).exception(timeout=120)
+
+        try:
+            late_cold = late()
+            cold_sweeps = list(sweeps)
+            warm = shard.submit(QueryRequest(query, tid)).result(timeout=120)
+            late_warm = late()
+            stats = shard.stats()
+        finally:
+            shard.stop(wait=True)
+        assert isinstance(late_cold, DeadlineExceeded)
+        assert isinstance(late_warm, DeadlineExceeded)
+        assert cold_sweeps == []
+        assert warm.cache_hit and warm.probability == reference
+        assert stats.resilience.deadline_exceeded == 2
+        assert (stats.cache.misses, stats.cache.hits) == (1, 2)
+        assert stats.engines == {"intensional": 1}
